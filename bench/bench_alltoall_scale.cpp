@@ -1,11 +1,9 @@
 /// \file bench_alltoall_scale.cpp
-/// Single-World alltoall at large rank counts: the intra-World
-/// scaling / memory-footprint probe behind ROADMAP item 1.
+/// Single-World alltoall at large rank counts: the World-size /
+/// memory-footprint probe.
 ///
 /// Unlike the fig 8-11 sweep (many independent Worlds across host
-/// cores), every point here is ONE World, so `--world-threads=N` is
-/// the only parallelism in play and the simulated results must be
-/// byte-identical at any N (the determinism_smoke_worldthreads gate).
+/// cores), every point here is ONE World run on one host thread.
 ///
 /// Extra flags (handled here, before BenchOptions):
 ///   --ranks=A,B,..  rank counts to run (default by --quick/--full)
@@ -46,11 +44,11 @@ long peak_rss_bytes() {
   return ru.ru_maxrss * 1024L;  // Linux reports KiB
 }
 
-int parse_count(const std::string& v, const char* flag) {
+int parse_count(const std::string& v, const char* flag, const char* argv0) {
   char* end = nullptr;
   const long n = std::strtol(v.c_str(), &end, 10);
   if (v.empty() || end == nullptr || *end != '\0' || n < 1 || n > (1 << 24))
-    throw xts::UsageError(std::string(flag) + " needs counts in [1, 2^24]");
+    xts::exit_usage(argv0, std::string(flag) + " needs counts in [1, 2^24]");
   return static_cast<int>(n);
 }
 
@@ -78,11 +76,11 @@ int main(int argc, char** argv) {
         const std::size_t comma = list.find(',', pos);
         const std::string item =
             list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        sa.ranks.push_back(parse_count(item, "--ranks="));
+        sa.ranks.push_back(parse_count(item, "--ranks=", argv[0]));
         pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else if (arg.rfind("--bytes=", 0) == 0) {
-      sa.bytes = static_cast<double>(parse_count(arg.substr(8), "--bytes="));
+      sa.bytes = static_cast<double>(parse_count(arg.substr(8), "--bytes=", argv[0]));
     } else if (arg == "--build-only") {
       sa.build_only = true;
     } else if (arg == "--rss") {
@@ -98,8 +96,8 @@ int main(int argc, char** argv) {
 
   const auto opt = BenchOptions::parse(
       static_cast<int>(rest.size()), rest.data(),
-      "Single-World alltoall scaling probe (intra-World threads + "
-      "memory footprint)");
+      "Single-World alltoall scaling probe (World size + memory "
+      "footprint)");
   obsv::arm_cli(opt);
 
   if (sa.ranks.empty()) {

@@ -12,8 +12,8 @@
 /// ablation sweeps (which mutate arbitrary machine parameters) safe to
 /// cache: a mutated parameter always lands in the key.
 ///
-/// What is never added here, by construction: --jobs, --world-threads,
-/// --world-lanes, heartbeat/telemetry settings — the simulator is
+/// What is never added here, by construction: --jobs and
+/// heartbeat/telemetry settings — the simulator is
 /// byte-identical across all of them (see fingerprint.hpp).
 
 #include "apps/aorsa.hpp"

@@ -53,13 +53,19 @@ TEST(BenchOptions, ParsesFlags) {
   EXPECT_FALSE(opt.full);
 }
 
+// A bad command line is a one-line `<prog>: <message>` on stderr and
+// exit status 2, not an uncaught exception.
 TEST(BenchOptions, RejectsUnknownAndConflicting) {
-  const char* bad[] = {"prog", "--wat"};
-  EXPECT_THROW(BenchOptions::parse(2, const_cast<char**>(bad), ""),
-               UsageError);
+  const char* bad[] = {"/path/to/prog", "--wat"};
+  EXPECT_EXIT(BenchOptions::parse(2, const_cast<char**>(bad), ""),
+              ::testing::ExitedWithCode(2), "^prog: unknown option: --wat\n$");
   const char* conflict[] = {"prog", "--quick", "--full"};
-  EXPECT_THROW(BenchOptions::parse(3, const_cast<char**>(conflict), ""),
-               UsageError);
+  EXPECT_EXIT(BenchOptions::parse(3, const_cast<char**>(conflict), ""),
+              ::testing::ExitedWithCode(2),
+              "^prog: --quick and --full are mutually exclusive\n$");
+  const char* jobs[] = {"prog", "--jobs=0"};
+  EXPECT_EXIT(BenchOptions::parse(2, const_cast<char**>(jobs), ""),
+              ::testing::ExitedWithCode(2), "--jobs=");
 }
 
 }  // namespace

@@ -223,6 +223,30 @@ TEST(FlowNetwork, SameInstantArrivalsCoalesceIntoOnePass) {
   EXPECT_LE(net.recompute_passes(), 4u);
 }
 
+// Four identical flows on disjoint routes complete at the same instant
+// and resume their waiters in flow-slot order — submission order here,
+// since slots are allocated sequentially from an empty network.
+TEST(FlowNetwork, SameInstantCompletionsFireInFlowIndexOrder) {
+  Engine e;
+  FlowNetwork net(e, Torus3D({8, 1, 1}), cfg());
+  std::vector<int> order;
+  std::vector<SimTime> done(4, -1.0);
+  for (int i = 0; i < 4; ++i) {
+    spawn(e, [](Engine& eng, SimFutureV fut, int idx, std::vector<int>& ord,
+                std::vector<SimTime>& at) -> Task<void> {
+      (void)co_await std::move(fut);
+      at[static_cast<size_t>(idx)] = eng.now();
+      ord.push_back(idx);
+    }(e, net.transfer(static_cast<NodeId>(2 * i),
+                      static_cast<NodeId>(2 * i + 1), 16.0),
+      i, order, done));
+  }
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  for (int i = 1; i < 4; ++i)
+    EXPECT_EQ(done[static_cast<size_t>(i)], done[0]);
+}
+
 // Three-way contention where the two fairness policies provably
 // diverge.  Flows B, C, D share ejection(2) (the bottleneck, 1 B/s
 // each); A shares injection(0) with B.  Min-share caps A at

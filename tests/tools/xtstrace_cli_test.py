@@ -70,6 +70,8 @@ def main():
                "src")
         expect("telemetry on telemetry",
                run(xts + ["telemetry", telemetry]), True, "breakdown")
+        expect("telemetry subsystem table",
+               run(xts + ["telemetry", telemetry]), True, "net.rates")
 
         # Error contract: nonzero exit plus a diagnostic.
         expect("unknown subcommand", run(xts + ["frobnicate", trace]),

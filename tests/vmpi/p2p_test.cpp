@@ -135,6 +135,29 @@ TEST(P2p, IntraNodeBeatsInterNodeLatency) {
   EXPECT_LT(time_pair(0, 1), time_pair(0, 3));
 }
 
+TEST(P2p, InterNodeDeliveryPaysInjectionAndOneHop) {
+  // Every ring message posts at t=0; one crossing the network cannot be
+  // delivered before the NIC injection overhead plus one router hop.
+  WorldConfig cfg = make_cfg(32);
+  cfg.enable_trace = true;
+  World w(cfg);
+  w.run([](Comm& c) -> Task<void> {
+    const int peer = (c.rank() + 1) % c.size();
+    auto fut = co_await c.send(peer, 0, 64.0);
+    (void)co_await c.recv((c.rank() + c.size() - 1) % c.size(), 0);
+    (void)co_await std::move(fut);
+  });
+  const auto& nic = w.config().machine.nic;
+  int internode = 0;
+  for (const TraceRecord& rec : w.trace()) {
+    if (w.node_of(rec.src_world) == w.node_of(rec.dst_world)) continue;
+    ++internode;
+    EXPECT_GE(rec.delivered_at, nic.tx_overhead + nic.per_hop_latency)
+        << rec.src_world << " -> " << rec.dst_world;
+  }
+  EXPECT_GT(internode, 0);
+}
+
 TEST(P2p, DeadlockIsDetectedNotHung) {
   World w(make_cfg(2));
   EXPECT_THROW(w.run([&](Comm& c) -> Task<void> {

@@ -1,6 +1,7 @@
 /// \file bench_simulator_native.cpp
 /// google-benchmark of the simulator substrate itself: event-loop
-/// throughput, flow-network churn, and end-to-end vmpi collective rate.
+/// throughput, route derivation, flow-network churn, and end-to-end vmpi
+/// collective rate.
 ///
 /// These are the benches tracked by scripts/bench_regress.py into
 /// results/BENCH_simcore.json; keep names and argument sets stable so
@@ -88,6 +89,28 @@ void BM_EngineThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineThroughput)->Arg(100000)->Arg(400000);
 
+/// Route derivation: every ordered pair of distinct nodes on an 8x8x8
+/// torus, derived in place by dimension order — the work each flow
+/// start does before it loads its links.
+void BM_TorusRouteInto(benchmark::State& state) {
+  const net::Torus3D topo({8, 8, 8});
+  const net::NodeId n = topo.node_count();
+  net::Route route;
+  for (auto _ : state) {
+    std::size_t links = 0;
+    for (net::NodeId s = 0; s < n; ++s)
+      for (net::NodeId d = 0; d < n; ++d) {
+        if (s == d) continue;
+        topo.route_into(s, d, route);
+        links += route.size();
+      }
+    benchmark::DoNotOptimize(links);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n) * (n - 1));
+}
+BENCHMARK(BM_TorusRouteInto);
+
 /// Lock-step burst of same-instant transfers (one collective round):
 /// exercises the same-instant coalescing path.
 void BM_FlowNetworkTransfers(benchmark::State& state) {
@@ -102,7 +125,7 @@ void BM_FlowNetworkTransfers(benchmark::State& state) {
       if (src == dst) continue;
       spawn(e, [](net::FlowNetwork& fn, net::NodeId s, net::NodeId d)
                    -> Task<void> {
-        (void)co_await fn.transfer(s, d, 65536.0);
+        co_await fn.transfer_flow(s, d, 65536.0);
       }(net, src, dst));
     }
     e.run();
@@ -140,8 +163,8 @@ void BM_FlowChurn(benchmark::State& state) {
           auto dst = static_cast<net::NodeId>((s >> 32) % nn);
           if (dst == src)
             dst = static_cast<net::NodeId>((static_cast<std::uint64_t>(dst) + 1) % nn);
-          (void)co_await fn.transfer(src, dst,
-                                     1024.0 + static_cast<double>(s & 0xffff));
+          co_await fn.transfer_flow(src, dst,
+                                    1024.0 + static_cast<double>(s & 0xffff));
         }
       }(e, net, w, dims.count()));
     }

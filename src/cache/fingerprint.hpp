@@ -38,7 +38,7 @@ namespace xts::cache {
 /// Bump on any model/semantics change that can alter results for an
 /// unchanged scenario description (timing model edits, new config
 /// fields with non-neutral defaults, result-struct layout changes).
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 /// A finished 128-bit scenario key.  Default-constructed keys are
 /// invalid and never match anything — the sweep runner treats them as

@@ -208,7 +208,12 @@ void Store::reset() noexcept {
 }
 
 void arm_cli(const BenchOptions& opt) {
-  if (!opt.cache_dir.empty()) Store::configure(opt.cache_dir);
+  if (opt.cache_dir.empty()) return;
+  try {
+    Store::configure(opt.cache_dir);
+  } catch (const UsageError& e) {
+    exit_usage(opt.argv0, e.what());
+  }
 }
 
 std::vector<EntryInfo> inspect_dir(const std::string& dir) {

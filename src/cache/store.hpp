@@ -81,7 +81,8 @@ class Store {
 };
 
 /// Bench wiring: arm the process store from `--cache-dir=` (no-op when
-/// the flag was not given).  Call next to obsv::arm_cli in drivers.
+/// the flag was not given).  A directory that cannot be created goes
+/// through exit_usage.  Call next to obsv::arm_cli in drivers.
 void arm_cli(const BenchOptions& opt);
 
 /// Entry metadata surfaced by `xtstrace cache` (tools/xtstrace).

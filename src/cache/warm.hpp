@@ -14,13 +14,12 @@
 /// sweep (and across sequential points), so a 28-point figure sweep
 /// builds each distinct shape once instead of 28 times.
 ///
-/// What is deliberately NOT shared: anything with mutable state (the
-/// flow-route LRU, link stats, node queues).  Sharing the route LRU
-/// would make its now-exported hit/miss counters depend on which sweep
-/// points ran concurrently — breaking byte-identical --metrics output
-/// across --jobs counts.  Placement sharing is safe precisely because
-/// the shared object is content-identical to what each World would have
-/// built alone.
+/// What is deliberately NOT shared: anything with mutable state (link
+/// stats, node queues).  Sharing those would make their exported
+/// counters depend on which sweep points ran concurrently — breaking
+/// byte-identical --metrics output across --jobs counts.  Placement
+/// sharing is safe precisely because the shared object is
+/// content-identical to what each World would have built alone.
 
 #include <cstdint>
 #include <functional>

@@ -161,10 +161,13 @@ void exit_usage(const char* argv0, const std::string& message) {
 
 BenchOptions BenchOptions::parse(int argc, char** argv,
                                  const std::string& blurb) {
+  const char* argv0 = argc > 0 ? argv[0] : nullptr;
   try {
-    return parse_flags(argc, argv, blurb);
+    BenchOptions opt = parse_flags(argc, argv, blurb);
+    opt.argv0 = argv0;
+    return opt;
   } catch (const UsageError& e) {
-    exit_usage(argc > 0 ? argv[0] : nullptr, e.what());
+    exit_usage(argv0, e.what());
   }
 }
 

@@ -55,6 +55,7 @@ struct BenchOptions {
   double heartbeat_s = 0.0;  ///< live heartbeat period to stderr (0 = off)
   std::string telemetry_file;  ///< streaming telemetry JSONL ("" = off)
   std::string cache_dir;  ///< scenario-result cache directory ("" = off)
+  const char* argv0 = nullptr;  ///< program path, for exit_usage lines
 
   static BenchOptions parse(int argc, char** argv, const std::string& blurb);
 };

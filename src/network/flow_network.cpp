@@ -39,8 +39,7 @@ bool FlowNetwork::pops_after(const CompletionEntry& a,
 FlowNetwork::FlowNetwork(Engine& engine, Torus3D topo, NetConfig cfg)
     : engine_(engine),
       topo_(std::move(topo)),
-      cfg_(cfg),
-      route_cache_(cfg.route_cache_capacity) {
+      cfg_(cfg) {
   if (cfg_.link_bw <= 0.0 || cfg_.injection_bw <= 0.0)
     throw UsageError("FlowNetwork: link and injection bandwidth required");
   if (cfg_.ejection_bw <= 0.0) cfg_.ejection_bw = cfg_.injection_bw;
@@ -151,32 +150,6 @@ SimTime FlowNetwork::route_latency(NodeId src, NodeId dst) const {
          cfg_.per_hop_latency;
 }
 
-void FlowNetwork::route_for(NodeId src, NodeId dst, Route& out) {
-  get_route(src, dst, out);
-}
-
-void FlowNetwork::get_route(NodeId src, NodeId dst, Route& out) {
-  if (!route_cache_.enabled()) {
-    topo_.route_into(src, dst, out);
-    return;
-  }
-  if (route_cache_.lookup(src, dst, out)) return;
-  topo_.route_into(src, dst, out);
-  route_cache_.insert(src, dst, out);
-}
-
-SimFutureV FlowNetwork::transfer(NodeId src, NodeId dst, double bytes) {
-  if (bytes < 0.0) throw UsageError("FlowNetwork::transfer: negative size");
-  SimPromiseV promise(engine_);
-  auto future = promise.future();
-  if (bytes == 0.0) {
-    promise.set_value(Done{});
-    return future;
-  }
-  flows_[add_flow(src, dst, bytes)].promise = std::move(promise);
-  return future;
-}
-
 FlowNetwork::TransferAwaiter FlowNetwork::transfer_flow(NodeId src,
                                                         NodeId dst,
                                                         double bytes) {
@@ -210,7 +183,7 @@ std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes) {
   f.rate = 0.0;
   f.last_settle = engine_.now();
   f.in_use = true;
-  get_route(src, dst, f.links);
+  topo_.route_into(src, dst, f.links);
   f.link_pos.clear();
   for (std::uint32_t s = 0; s < f.links.size(); ++s) {
     const LinkId l = f.links[s];
@@ -312,7 +285,7 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
       }
     }
   }
-  done_.push_back(Completion{std::move(f.promise), f.waiter});
+  done_.push_back(f.waiter);
   ++f.gen;  // strand any heap entries still naming this slot
   f.waiter = {};
   f.rate = 0.0;
@@ -326,14 +299,8 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
 }
 
 void FlowNetwork::fire_completions() {
-  for (Completion& c : done_) {
-    if (c.promise.valid()) {
-      c.promise.set_value(Done{});
-    } else if (c.waiter) {
-      const auto h = c.waiter;
-      engine_.schedule_after(0.0, [h] { h.resume(); });
-    }
-  }
+  for (const std::coroutine_handle<> h : done_)
+    engine_.schedule_after(0.0, [h] { h.resume(); });
   done_.clear();
 }
 

@@ -4,7 +4,10 @@
 /// Flow-level network simulation over the torus.
 ///
 /// Each in-flight message is a *flow* holding one unit of load on every
-/// link of its route (injection link, torus links, ejection link).  A
+/// link of its route (injection link, torus links, ejection link),
+/// derived in place by Torus3D::route_into when the flow starts.  The
+/// coroutine awaiting the transfer is parked in the flow slot and
+/// resumed through the event queue when the last byte ejects.  A
 /// flow's instantaneous rate is
 ///     min over links l in path of  capacity(l) / load(l)
 /// — the standard fast approximation of max-min fair sharing (each
@@ -36,9 +39,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/future.hpp"
 #include "core/small_vec.hpp"
-#include "network/route_cache.hpp"
 #include "network/torus.hpp"
 
 namespace xts::net {
@@ -62,8 +63,6 @@ struct NetConfig {
   /// skipping — simpler, O(flows) per change, kept for differential
   /// testing and as an escape hatch.
   bool incremental = true;
-  /// LRU route-cache entries keyed on (src, dst); 0 disables caching.
-  std::size_t route_cache_capacity = 4096;
   /// Collect per-link usage statistics (bytes, busy/contended time,
   /// peak load) and the per-class concurrent-flow series.  Off by
   /// default: the only cost when disabled is a predictable branch in
@@ -78,14 +77,10 @@ class FlowNetwork {
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-  /// Begin moving `bytes` from node `src` to node `dst`; the returned
-  /// future completes when the last byte has been ejected.  The caller
-  /// (vmpi) accounts for first-byte latency separately.
-  [[nodiscard]] SimFutureV transfer(NodeId src, NodeId dst, double bytes);
-
-  /// Allocation-free transfer handle: awaiting it parks the coroutine
-  /// directly in the flow slot (no promise shared-state allocation) and
-  /// resumes it, through the event queue, when the last byte ejects.
+  /// Move `bytes` from node `src` to node `dst`.  Awaiting the handle
+  /// parks the coroutine directly in the flow slot and resumes it,
+  /// through the event queue, when the last byte has been ejected.
+  /// The caller (vmpi) accounts for first-byte latency separately.
   class [[nodiscard]] TransferAwaiter {
    public:
     [[nodiscard]] bool await_ready() const noexcept { return bytes_ == 0.0; }
@@ -110,12 +105,6 @@ class FlowNetwork {
 
   /// First-byte latency of the minimal route (hop count x per-hop).
   [[nodiscard]] SimTime route_latency(NodeId src, NodeId dst) const;
-
-  /// Resolve the route src -> dst (injection, torus links, ejection)
-  /// through the LRU route cache — the same links flows are charged to.
-  /// Used by per-link attribution (obsv critical path); src == dst is a
-  /// caller error, as with Torus3D::route_into.
-  void route_for(NodeId src, NodeId dst, Route& out);
 
   [[nodiscard]] const Torus3D& topology() const noexcept { return topo_; }
   [[nodiscard]] const NetConfig& config() const noexcept { return cfg_; }
@@ -149,15 +138,6 @@ class FlowNetwork {
   /// Individual per-flow rate recomputations across all passes.
   [[nodiscard]] std::uint64_t rate_updates() const noexcept {
     return rate_updates_;
-  }
-  [[nodiscard]] std::uint64_t route_cache_hits() const noexcept {
-    return route_cache_.hits();
-  }
-  [[nodiscard]] std::uint64_t route_cache_misses() const noexcept {
-    return route_cache_.misses();
-  }
-  [[nodiscard]] std::uint64_t route_cache_evictions() const noexcept {
-    return route_cache_.evictions();
   }
 
   // -- per-link usage statistics (NetConfig::link_stats) -----------------
@@ -197,8 +177,7 @@ class FlowNetwork {
     bool in_use = false;
     Route links;
     SmallVec<std::uint32_t, 16> link_pos;  ///< index in link_flows_[links[i]]
-    std::coroutine_handle<> waiter{};      ///< transfer_flow path
-    SimPromiseV promise;                   ///< transfer path
+    std::coroutine_handle<> waiter{};      ///< resumed on completion
   };
 
   /// Back-reference stored in a link's flow set: which flow, and which
@@ -215,14 +194,8 @@ class FlowNetwork {
     std::uint32_t gen;
   };
 
-  struct Completion {
-    SimPromiseV promise;
-    std::coroutine_handle<> waiter{};
-  };
-
   [[nodiscard]] double link_capacity(LinkId link) const noexcept;
   [[nodiscard]] double compute_rate(const Flow& f) const noexcept;
-  void get_route(NodeId src, NodeId dst, Route& out);
   std::uint32_t add_flow(NodeId src, NodeId dst, double bytes);
   void start_flow(NodeId src, NodeId dst, double bytes,
                   std::coroutine_handle<> h);
@@ -258,7 +231,6 @@ class FlowNetwork {
   Engine& engine_;
   Torus3D topo_;
   NetConfig cfg_;
-  RouteCache route_cache_;
 
   std::vector<Flow> flows_;            ///< slot-map backing store
   std::vector<std::uint32_t> free_;    ///< recycled slots (LIFO)
@@ -274,7 +246,7 @@ class FlowNetwork {
 
   std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
   std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
-  std::vector<Completion> done_;        ///< scratch: completions to fire
+  std::vector<std::coroutine_handle<>> done_;  ///< scratch: to resume
   std::vector<std::uint32_t> comp_flows_;  ///< scratch: max-min component
   std::vector<double> residual_;           ///< scratch: max-min filling
   std::vector<int> active_share_;          ///< scratch: max-min filling

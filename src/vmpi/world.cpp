@@ -136,8 +136,8 @@ void World::collect_summary() {
 
   // Fold the accumulated profile (no-op when profiling is off).  The
   // route resolver charges each critical-path message to the links of
-  // its minimal route, via the network's route cache; intra-node pairs
-  // never touch the network.
+  // its dimension-ordered route — the same links its flow was charged
+  // to; intra-node pairs never touch the network.
   net::Route route;
   obs_->finalize_profile(
       cfg_.nranks,
@@ -145,24 +145,10 @@ void World::collect_summary() {
         const net::NodeId a = node_of(src);
         const net::NodeId b = node_of(dst);
         if (a == b) return;
-        route.clear();
-        network_->route_for(a, b, route);
+        network_->topology().route_into(a, b, route);
         for (const net::LinkId l : route)
           visit(l, network_->link_class(l));
       });
-
-  // Flow-route LRU effectiveness (PR 1's cache) in the deterministic
-  // registry: event execution is one serial pass in exact global
-  // (time, seq) order, so these totals are byte-stable across --jobs.
-  if (obs_->metrics()) {
-    auto& reg = obs_->registry();
-    reg.counter("cache.route.hits")
-        .add(static_cast<double>(network_->route_cache_hits()));
-    reg.counter("cache.route.misses")
-        .add(static_cast<double>(network_->route_cache_misses()));
-    reg.counter("cache.route.evictions")
-        .add(static_cast<double>(network_->route_cache_evictions()));
-  }
 }
 
 void World::build_placement() {
@@ -333,12 +319,6 @@ bool World::matches(const PostedRecv& r, const Message& m) const {
 
 void World::deliver(int dst, Message msg) {
   ++messages_delivered_;
-  if (cfg_.enable_trace) {
-    // comm-relative src is enough for the world comm; subgroup sources
-    // are recorded as-is and flagged internal when from a collective.
-    trace_.push_back(TraceRecord{msg.src, dst, msg.bytes, engine_.now(),
-                                 tags::is_internal(msg.tag)});
-  }
   SlotChain& posted = posted_[static_cast<std::size_t>(dst)];
   std::uint32_t prev = SlotChain::kNil;
   for (std::uint32_t it = posted.head; it != SlotChain::kNil;

@@ -59,18 +59,6 @@ struct WorldConfig {
   std::uint64_t seed = 0x5eed;
   net::TorusDims dims{};  ///< all-zero => choose automatically
   net::Fairness fairness = net::Fairness::kMinShare;
-  bool enable_trace = false;  ///< record every delivered message
-};
-
-/// One delivered message (legacy trace mode).  Kept as a thin
-/// compatibility view over delivery; the span-level breakdown lives in
-/// the obsv::Session trace (see docs/OBSERVABILITY.md).
-struct TraceRecord {
-  int src_world = 0;
-  int dst_world = 0;
-  double bytes = 0.0;
-  SimTime delivered_at = 0.0;
-  bool internal = false;  ///< collective-internal traffic
 };
 
 class World {
@@ -124,10 +112,6 @@ class World {
     return messages_delivered_;
   }
   [[nodiscard]] double bytes_sent() const noexcept { return bytes_sent_; }
-  /// Message log (empty unless WorldConfig::enable_trace).
-  [[nodiscard]] const std::vector<TraceRecord>& trace() const noexcept {
-    return trace_;
-  }
   /// Observability handle — null unless an obsv::Session was active
   /// when this World was constructed.
   [[nodiscard]] obsv::WorldObs* obs() const noexcept { return obs_; }
@@ -172,7 +156,6 @@ class World {
   std::vector<std::unique_ptr<Comm>> world_comms_;
   std::uint64_t messages_delivered_ = 0;
   double bytes_sent_ = 0.0;
-  std::vector<TraceRecord> trace_;
   int ranks_finished_ = 0;
   // Always-on (cheap) blocked-rank bookkeeping for deadlock reporting.
   std::vector<std::uint8_t> rank_done_;

@@ -1,7 +1,7 @@
 /// \file bench_simulator_native.cpp
 /// google-benchmark of the simulator substrate itself: event-loop
-/// throughput, route derivation, flow-network churn, and end-to-end vmpi
-/// collective rate.
+/// throughput, the coroutine/future layer, route derivation,
+/// flow-network churn, and end-to-end vmpi collective rate.
 ///
 /// These are the benches tracked by scripts/bench_regress.py into
 /// results/BENCH_simcore.json; keep names and argument sets stable so
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/future.hpp"
 #include "core/task.hpp"
 #include "machine/presets.hpp"
 #include "network/flow_network.hpp"
@@ -88,6 +89,54 @@ void BM_EngineThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 4);
 }
 BENCHMARK(BM_EngineThroughput)->Arg(100000)->Arg(400000);
+
+/// Coroutine/future layer: one promise/future hand-off per item.  A
+/// consumer parks on a fresh future, an engine event sets it, and the
+/// delivery resumes the consumer through the event queue — the shape of
+/// a posted receive or a NIC-lock grant.
+void BM_FutureRoundTrip(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Engine e;
+    std::int64_t sum = 0;
+    spawn(e, [](Engine& eng, int count, std::int64_t& out) -> Task<void> {
+      for (int i = 0; i < count; ++i) {
+        SimPromise<int> p(eng);
+        SimFuture<int> f = p.future();
+        eng.schedule_after(0.0, [pp = &p, i] { pp->set_value(i); });
+        out += co_await std::move(f);
+      }
+    }(e, n, sum));
+    e.run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FutureRoundTrip)->Arg(100000);
+
+Task<int> chain_link(int depth) {
+  if (depth == 0) co_return 0;
+  co_return 1 + co_await chain_link(depth - 1);
+}
+
+/// Coroutine/future layer: a chain of `depth` nested awaited tasks, one
+/// frame each, started and finished by symmetric transfer.  Depth 16
+/// stays within the per-thread frame cache; depth 1024 overflows it, so
+/// most of its frames come from the global allocator.
+void BM_TaskAwaitChain(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Engine e;
+    int out = 0;
+    spawn(e, [](int d, int& o) -> Task<void> {
+      o = co_await chain_link(d);
+    }(depth, out));
+    e.run();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TaskAwaitChain)->Arg(16)->Arg(1024);
 
 /// Route derivation: every ordered pair of distinct nodes on an 8x8x8
 /// torus, derived in place by dimension order — the work each flow

@@ -15,6 +15,10 @@
 #   - test_cache: the scenario-result store (memo map + on-disk
 #     entries) and the warm-start placement-shape cache, both hit
 #     concurrently by sweep worker threads.
+#   - test_task (its BlockCache cases): the per-thread block cache
+#     behind coroutine frames and future state, with frames and
+#     promises allocated on one pool of sweep workers and run or freed
+#     on another.
 # Any data race aborts the run (TSAN_OPTIONS halt_on_error), failing
 # the gate.  (The jobs=1-vs-jobs=8 bench determinism ctests stay in
 # the regular build: two full bench runs per test are too slow under
@@ -26,7 +30,8 @@ build="${1:-build-tsan}"
 
 cmake -B "$build" -S . -DXTSIM_SAN=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build" -j"$(nproc)" \
-  --target test_runner_sweep test_obsv_telemetry test_lustre test_cache
+  --target test_runner_sweep test_obsv_telemetry test_lustre test_cache \
+           test_task
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" -L tsan_smoke \
   --output-on-failure
 echo "check_threads: OK: tsan_smoke suite clean under ThreadSanitizer"

@@ -9,12 +9,19 @@
 /// waiter through the event queue at the current simulated time.
 /// Also provides `Delay`, the awaitable returned by Engine-based
 /// contexts to advance simulated time.
+///
+/// The shared state is reference counted without atomics and drawn
+/// from the per-thread block cache (core/block_cache.hpp): a promise
+/// and its futures live on the thread that runs their World.
 
 #include <coroutine>
-#include <memory>
+#include <cstdint>
+#include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
+#include "core/block_cache.hpp"
 #include "core/engine.hpp"
 #include "core/error.hpp"
 
@@ -24,11 +31,25 @@ namespace detail {
 
 template <typename T>
 struct FutureState {
-  Engine* engine = nullptr;
+  explicit FutureState(Engine& e) noexcept : engine(&e) {}
+
+  Engine* engine;
   std::optional<T> value;
   std::exception_ptr error;
   std::coroutine_handle<> waiter{};
+  std::uint32_t refs = 1;
   bool consumed = false;
+
+  static FutureState* make(Engine& e) {
+    static_assert(alignof(FutureState) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return ::new (BlockCache::allocate(sizeof(FutureState))) FutureState(e);
+  }
+
+  void release() noexcept {
+    if (--refs != 0) return;
+    this->~FutureState();
+    BlockCache::deallocate(this, sizeof(FutureState));
+  }
 
   void deliver() {
     if (waiter) {
@@ -36,6 +57,34 @@ struct FutureState {
       engine->schedule_after(0.0, [h] { h.resume(); });
     }
   }
+};
+
+/// Counted handle to a FutureState: copies share the state, the last
+/// one to go returns it to the block cache.
+template <typename T>
+class StateRef {
+ public:
+  StateRef() noexcept = default;
+  explicit StateRef(Engine& e) : s_(FutureState<T>::make(e)) {}
+  StateRef(const StateRef& o) noexcept : s_(o.s_) {
+    if (s_ != nullptr) ++s_->refs;
+  }
+  StateRef(StateRef&& o) noexcept : s_(std::exchange(o.s_, nullptr)) {}
+  StateRef& operator=(StateRef o) noexcept {
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  ~StateRef() {
+    if (s_ != nullptr) s_->release();
+  }
+
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return s_ != nullptr;
+  }
+  FutureState<T>* operator->() const noexcept { return s_; }
+
+ private:
+  FutureState<T>* s_ = nullptr;
 };
 
 }  // namespace detail
@@ -53,14 +102,13 @@ class SimPromise {
   /// or future() on it is a usage error.
   SimPromise() noexcept = default;
 
-  explicit SimPromise(Engine& engine)
-      : state_(std::make_shared<detail::FutureState<T>>()) {
-    state_->engine = &engine;
-  }
+  explicit SimPromise(Engine& engine) : state_(engine) {}
 
   /// True when this promise owns shared state (was not
   /// default-constructed or moved from).
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
+  [[nodiscard]] bool valid() const noexcept {
+    return static_cast<bool>(state_);
+  }
 
   void set_value(T v) const {
     if (!state_) throw UsageError("SimPromise: empty promise");
@@ -81,16 +129,13 @@ class SimPromise {
   [[nodiscard]] SimFuture<T> future() const;
 
  private:
-  std::shared_ptr<detail::FutureState<T>> state_;
+  detail::StateRef<T> state_;
 };
 
 /// Consumer side: `T result = co_await promise.future();`
 template <typename T>
 class [[nodiscard]] SimFuture {
  public:
-  explicit SimFuture(std::shared_ptr<detail::FutureState<T>> s)
-      : state_(std::move(s)) {}
-
   bool await_ready() const noexcept {
     return state_->value.has_value() || state_->error != nullptr;
   }
@@ -109,7 +154,10 @@ class [[nodiscard]] SimFuture {
   }
 
  private:
-  std::shared_ptr<detail::FutureState<T>> state_;
+  friend class SimPromise<T>;
+  explicit SimFuture(detail::StateRef<T> s) noexcept : state_(std::move(s)) {}
+
+  detail::StateRef<T> state_;
 };
 
 template <typename T>

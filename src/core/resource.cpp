@@ -91,20 +91,22 @@ void SharedServer::on_completion(std::uint64_t epoch) {
   settle();
   // Complete all finished jobs (several can finish at the same instant).
   const double threshold = rate() * completion_time_eps(engine_.now());
-  std::vector<SimPromiseV> done;
   auto it = jobs_.begin();
   while (it != jobs_.end()) {
     if (it->remaining <= threshold) {
       total_served_ += it->remaining;  // absorb residue into the ledger
       it->remaining = 0.0;
-      done.push_back(std::move(it->promise));
+      done_.push_back(std::move(it->promise));
       it = jobs_.erase(it);
     } else {
       ++it;
     }
   }
   schedule_next();
-  for (auto& p : done) p.set_value(Done{});
+  // set_value only schedules the waiters' resumption, so nothing can
+  // re-enter this server while done_ is being drained.
+  for (auto& p : done_) p.set_value(Done{});
+  done_.clear();
 }
 
 SimFutureV FifoResource::acquire() {

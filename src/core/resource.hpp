@@ -75,6 +75,7 @@ class SharedServer {
   double per_job_cap_;
   std::string name_;
   std::vector<Job> jobs_;
+  std::vector<SimPromiseV> done_;  ///< scratch: on_completion's finishers
   SimTime last_settle_ = 0.0;
   std::uint64_t epoch_ = 0;  // invalidates stale completion events
   double total_served_ = 0.0;

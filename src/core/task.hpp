@@ -19,10 +19,12 @@
 /// \endcode
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
+#include "core/block_cache.hpp"
 #include "core/engine.hpp"
 #include "core/error.hpp"
 
@@ -56,6 +58,16 @@ struct PromiseBase {
   std::coroutine_handle<> continuation{};
   bool detached = false;
   std::exception_ptr exception{};
+
+  // Frames are recycled through the per-thread block cache: every
+  // message runs through a few short-lived ones (post_send, transport,
+  // match_recv).
+  static void* operator new(std::size_t n) {
+    return BlockCache::allocate(n);
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    BlockCache::deallocate(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

@@ -406,25 +406,28 @@ void FlowNetwork::update_rates_min_share(SimTime now) {
   // engine loop's dominant non-app cost; charge it to its own bucket.
   const ScopedHostTimer hosttimer(HostSubsys::kRates);
   // A min-share rate depends only on the loads of the flow's own
-  // links, so exactly the flows crossing a dirty link need revisiting.
-  // When the change is dense (a big wave dirtied about as many links
-  // as there are flows), a straight scan of the slot map beats
-  // chasing the per-link index lists.
-  if (dirty_links_.size() >= active_count_) {
-    for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-      Flow& f = flows_[i];
-      if (f.in_use) apply_rate(i, f, compute_rate(f), now);
-    }
-    return;
-  }
-
+  // links, so exactly the flows crossing a dirty link need revisiting:
+  // any other flow would recompute its current rate bit for bit.  The
+  // completion heap is totally ordered on (time, flow, gen), so the
+  // visit order cannot change which flow completes when.  It does fix
+  // the order in which settle_flow adds into the floating-point byte
+  // totals (total_delivered, per-link bytes) that --trace reports: a
+  // wave that dirtied at least as many links as there are flows
+  // settles in slot order, a smaller one in first-visit order, and the
+  // recorded traces hold that rule to the last bit.
+  comp_flows_.clear();
   for (const LinkId dl : dirty_links_) {
     for (const LinkRef ref : link_flows_[static_cast<std::size_t>(dl)]) {
       if (flow_stamp_[ref.flow] == stamp_) continue;
       flow_stamp_[ref.flow] = stamp_;
-      Flow& f = flows_[ref.flow];
-      apply_rate(ref.flow, f, compute_rate(f), now);
+      comp_flows_.push_back(ref.flow);
     }
+  }
+  if (dirty_links_.size() >= active_count_)
+    std::sort(comp_flows_.begin(), comp_flows_.end());
+  for (const std::uint32_t fi : comp_flows_) {
+    Flow& f = flows_[fi];
+    apply_rate(fi, f, compute_rate(f), now);
   }
 }
 

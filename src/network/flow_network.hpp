@@ -247,7 +247,7 @@ class FlowNetwork {
   std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
   std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
   std::vector<std::coroutine_handle<>> done_;  ///< scratch: to resume
-  std::vector<std::uint32_t> comp_flows_;  ///< scratch: max-min component
+  std::vector<std::uint32_t> comp_flows_;  ///< scratch: flows a pass re-rates
   std::vector<double> residual_;           ///< scratch: max-min filling
   std::vector<int> active_share_;          ///< scratch: max-min filling
 

@@ -224,6 +224,33 @@ TEST(FlowNetwork, SameInstantArrivalsCoalesceIntoOnePass) {
   EXPECT_LE(net.recompute_passes(), 4u);
 }
 
+// A min-share pass revisits the flows on the links whose load changed
+// and no others: a fourth flow on its own route re-rates itself alone,
+// however few flows the network holds.
+TEST(FlowNetwork, MinSharePassRevisitsOnlyFlowsOnDirtyLinks) {
+  Engine e;
+  const Torus3D topo({16, 1, 1});
+  FlowNetwork net(e, topo, cfg());
+  auto start = [&](NodeId src) {
+    ASSERT_EQ(topo.hop_count(src, src + 2), 2);  // 4 links with inj/ej
+    spawn(e, [](FlowNetwork& n, NodeId s) -> Task<void> {
+      co_await n.transfer_flow(s, s + 2, 1000.0);
+    }(net, src));
+  };
+  for (const NodeId src : {0, 4, 8}) start(src);
+  e.run_until(1.0);
+  ASSERT_EQ(net.active_flows(), 3u);
+  const std::uint64_t before = net.rate_updates();
+  EXPECT_EQ(before, 3u);
+
+  start(12);
+  e.run_until(2.0);
+  ASSERT_EQ(net.active_flows(), 4u);
+  EXPECT_EQ(net.rate_updates(), before + 1);
+  e.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
 // Four identical flows on disjoint routes complete at the same instant
 // and resume their waiters in flow-slot order — submission order here,
 // since slots are allocated sequentially from an empty network.

@@ -1,7 +1,7 @@
 /// \file bench_simulator_native.cpp
 /// google-benchmark of the simulator substrate itself: event-loop
-/// throughput, the coroutine/future layer, route derivation,
-/// flow-network churn, and end-to-end vmpi collective rate.
+/// throughput and timer re-arming, the coroutine/future layer, route
+/// derivation, flow-network churn, and end-to-end vmpi collective rate.
 ///
 /// These are the benches tracked by scripts/bench_regress.py into
 /// results/BENCH_simcore.json; keep names and argument sets stable so
@@ -89,6 +89,53 @@ void BM_EngineThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 4);
 }
 BENCHMARK(BM_EngineThroughput)->Arg(100000)->Arg(400000);
+
+/// Engine-queue layer, re-armable timers: the hold model above plus one
+/// Engine::Timer that every tick re-arms at a pseudo-random later
+/// instant — a FlowNetwork or SharedServer re-predicting its next
+/// completion on each change.  The timer fires only when the ticks
+/// leave it alone long enough, as a completion does.
+struct RearmCtx {
+  HoldCtx hold;
+  Engine::Timer* timer = nullptr;
+  std::int64_t timer_fired = 0;
+};
+
+void rearm_tick(RearmCtx* c) {
+  HoldCtx& h = c->hold;
+  ++h.fired;
+  for (int i = 0; i < 3; ++i)
+    h.e->schedule_after(0.0, [&h] { ++h.fired; });
+  c->timer->arm_at(h.e->now() +
+                   1e-9 * static_cast<double>(1 + (xorshift(h.rng) & 2047)));
+  if (--h.remaining > 0) {
+    const double dt =
+        1e-9 * static_cast<double>(1 + (xorshift(h.rng) & 1023));
+    h.e->schedule_after(dt, [c] { rearm_tick(c); });
+  }
+}
+
+void BM_EngineTimerRearm(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kTimers = 64;
+  for (auto _ : state) {
+    Engine e;
+    RearmCtx ctx;
+    ctx.hold.e = &e;
+    ctx.hold.remaining = n;
+    Engine::Timer timer(e, [&ctx] { ++ctx.timer_fired; });
+    ctx.timer = &timer;
+    for (int t = 0; t < kTimers; ++t)
+      e.schedule_after(1e-9 * static_cast<double>(t + 1),
+                       [c = &ctx] { rearm_tick(c); });
+    e.run();
+    benchmark::DoNotOptimize(ctx.hold.fired);
+    benchmark::DoNotOptimize(ctx.timer_fired);
+  }
+  // Per tick: one timed event, three zero-delay events, one re-arm.
+  state.SetItemsProcessed(state.iterations() * state.range(0) * 5);
+}
+BENCHMARK(BM_EngineTimerRearm)->Arg(100000);
 
 /// Coroutine/future layer: one promise/future hand-off per item.  A
 /// consumer parks on a fresh future, an engine event sets it, and the

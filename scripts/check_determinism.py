@@ -11,7 +11,7 @@ varied axis, and requires:
      wall-clock fields that legitimately vary;
   4. the --profile= attribution JSON, scrubbed the same way, identical.
 
-Three axes, selected with --vary:
+Four axes, selected with --vary:
 
   --vary jobs           (default) --jobs=1 vs --jobs=N: the PR 4 sweep
                         parallelism — independent Worlds on host cores.
@@ -26,6 +26,17 @@ Three axes, selected with --vary:
                         one.  This axis omits --trace (tracing runs
                         bypass the scenario cache by design) and fails
                         if the cold run stored no entries.
+  --vary build --other=<binary>
+                        this bench vs another build of the same bench
+                        (say, the parent commit's), same arguments: a
+                        refactor of the simulator must not move a byte.
+                        Besides the scrubs below, this axis drops two
+                        engine event counts from the --trace JSON: the
+                        world summaries' "engine_events" and the
+                        "world.run" spans' args "a1".  Both count events
+                        fired, a host-side cost that a faster queue may
+                        legitimately cut (for instance by no longer
+                        queueing superseded timers).
 
 The "== host resources ==" block (getrusage gauges appended by
 --metrics) and the "== scenario cache ==" block (hit/miss counters of
@@ -36,6 +47,7 @@ Usage:
   check_determinism.py --run <bench> [bench args...]
   check_determinism.py --run <bench> --vary heartbeat -- --quick
   check_determinism.py --run <bench> --jobs-parallel 4 -- --quick
+  check_determinism.py --run <bench> --vary build --other=<bench2> -- --quick
 """
 
 import json
@@ -87,6 +99,21 @@ def scrub_stdout(text):
             continue
         out.append(line)
     return "".join(out)
+
+
+def scrub_engine_counts(obj):
+    """--vary build only: drop the engine's fired-event counts."""
+    if isinstance(obj, dict):
+        out = {k: scrub_engine_counts(v) for k, v in obj.items()
+               if k != "engine_events"}
+        if out.get("name") == "world.run" and isinstance(out.get("args"),
+                                                          dict):
+            out["args"] = {k: v for k, v in out["args"].items()
+                           if k != "a1"}
+        return out
+    if isinstance(obj, list):
+        return [scrub_engine_counts(v) for v in obj]
+    return obj
 
 
 def run_once(bench, args, axis_flags, trace_path, profile_path):
@@ -162,38 +189,53 @@ def main(argv):
     rest = argv[2:]
     parallel_n = 8
     vary = "jobs"
-    while rest and rest[0] in ("--jobs-parallel", "--vary"):
+    other = None
+    while rest and (rest[0] in ("--jobs-parallel", "--vary")
+                    or rest[0].startswith("--other=")):
+        if rest[0].startswith("--other="):
+            other = rest[0][len("--other="):]
+            rest = rest[1:]
+            continue
         if rest[0] == "--jobs-parallel":
             parallel_n = int(rest[1])
         else:
             vary = rest[1]
-            if vary not in ("jobs", "heartbeat", "cache"):
-                fail(f"--vary must be 'jobs', 'heartbeat' or 'cache', "
-                     f"got {vary}")
+            if vary not in ("jobs", "heartbeat", "cache", "build"):
+                fail(f"--vary must be 'jobs', 'heartbeat', 'cache' or "
+                     f"'build', got {vary}")
         rest = rest[2:]
     if rest and rest[0] == "--":
         rest = rest[1:]
+    if (vary == "build") != (other is not None):
+        fail("--other=<binary> goes with --vary build, and only with it")
 
     if vary == "cache":
         return check_cache(bench, rest)
 
+    benchn = bench
+    scrub_trace = lambda obj: obj
     with tempfile.TemporaryDirectory() as tmp:
         if vary == "jobs":
             serial_flags = ["--jobs=1"]
             parallel_flags = [f"--jobs={parallel_n}"]
-        else:  # heartbeat: telemetry off vs armed, fast beat to a tmp file
+        elif vary == "heartbeat":  # telemetry off vs armed, fast beat
             serial_flags = []
             parallel_flags = ["--heartbeat=0.02",
                               "--telemetry=" + os.path.join(tmp, "hb.jsonl")]
-        label1 = " ".join(serial_flags) or "telemetry off"
-        labeln = " ".join(parallel_flags)
+        else:  # build: same flags, the other binary
+            serial_flags = parallel_flags = []
+            benchn = other
+            scrub_trace = scrub_engine_counts
+        label1 = " ".join(serial_flags) or (
+            "telemetry off" if vary == "heartbeat" else bench)
+        labeln = " ".join(parallel_flags) or benchn
 
         t1 = os.path.join(tmp, "serial_trace.json")
         tn = os.path.join(tmp, "parallel_trace.json")
         p1 = os.path.join(tmp, "serial_profile.json")
         pn = os.path.join(tmp, "parallel_profile.json")
         out1 = run_once(bench, rest, serial_flags, t1, p1)
-        outn = run_once(bench, rest, parallel_flags, tn, pn)
+        outn = run_once(benchn, rest, parallel_flags, tn, pn)
 
         if out1 != outn:
             import difflib
@@ -203,14 +245,17 @@ def main(argv):
             fail(f"stdout differs between {label1} and {labeln}:\n"
                  f"{diff[:4000]}")
 
-        if load_scrubbed(t1, "trace") != load_scrubbed(tn, "trace"):
+        if (scrub_trace(load_scrubbed(t1, "trace"))
+                != scrub_trace(load_scrubbed(tn, "trace"))):
             fail(f"--trace= artifacts differ between {label1} and {labeln}")
         if load_scrubbed(p1, "profile") != load_scrubbed(pn, "profile"):
             fail(f"--profile= artifacts differ between {label1} and {labeln}")
 
     name = os.path.basename(bench)
+    scrubbed = "; engine event counts scrubbed" if vary == "build" else ""
     print(f"check_determinism: OK: {name} {' '.join(rest)} is byte-identical "
-          f"at {label1} and {labeln} (stdout + metrics + trace + profile)")
+          f"at {label1} and {labeln} (stdout + metrics + trace + profile"
+          f"{scrubbed})")
     return 0
 
 

@@ -14,6 +14,7 @@
 /// from the per-thread block cache (core/block_cache.hpp): a promise
 /// and its futures live on the thread that runs their World.
 
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -176,7 +177,10 @@ using SimFutureV = SimFuture<Done>;
 class [[nodiscard]] Delay {
  public:
   Delay(Engine& engine, SimTime dt) : engine_(&engine), dt_(dt) {
-    if (dt < 0) throw UsageError("Delay: negative duration");
+    if (!(dt >= 0)) {
+      throw UsageError(std::isnan(dt) ? "Delay: NaN duration"
+                                      : "Delay: negative duration");
+    }
   }
 
   bool await_ready() const noexcept { return dt_ == 0.0; }

@@ -3,8 +3,8 @@
 /// \file inline_fn.hpp
 /// Small-buffer-optimized move-only callable for the event loop.
 ///
-/// The common event captures — a coroutine handle, an object pointer
-/// plus an epoch counter — are a handful of words.  InlineFn stores any
+/// The common event captures — a coroutine handle, an object pointer,
+/// a context pointer — are a handful of words.  InlineFn stores any
 /// trivially-copyable callable of up to kInlineSize bytes in place and
 /// boxes everything else on the heap.  Either representation is
 /// trivially relocatable (an ops pointer plus raw bytes), so containers
@@ -24,8 +24,7 @@ class InlineFn {
  public:
   /// Inline capture budget; larger/non-trivial callables are boxed.
   /// Three words covers the hot captures (a coroutine handle, an object
-  /// pointer plus an epoch, a context pointer) while keeping a heap
-  /// event at 48 bytes.
+  /// pointer, a context pointer) in a 32-byte callable.
   static constexpr std::size_t kInlineSize = 24;
 
   InlineFn() noexcept = default;

@@ -29,7 +29,8 @@ SharedServer::SharedServer(Engine& engine, double capacity, std::string name,
     : engine_(engine),
       capacity_(capacity),
       per_job_cap_(per_job_cap > 0.0 ? per_job_cap : capacity),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      timer_(engine, [this] { on_completion(); }) {
   if (capacity <= 0.0)
     throw UsageError("SharedServer: capacity must be positive");
   if (per_job_cap < 0.0)
@@ -76,18 +77,18 @@ void SharedServer::settle() {
 }
 
 void SharedServer::schedule_next() {
-  ++epoch_;
-  if (jobs_.empty()) return;
+  if (jobs_.empty()) {
+    timer_.cancel();
+    return;
+  }
   double min_remaining = std::numeric_limits<double>::max();
   for (const auto& job : jobs_)
     min_remaining = std::min(min_remaining, job.remaining);
   const SimTime dt = std::max(0.0, min_remaining / rate());
-  const std::uint64_t epoch = epoch_;
-  engine_.schedule_after(dt, [this, epoch] { on_completion(epoch); });
+  timer_.arm_at(engine_.now() + dt);
 }
 
-void SharedServer::on_completion(std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // superseded by a later add/remove
+void SharedServer::on_completion() {
   settle();
   // Complete all finished jobs (several can finish at the same instant).
   const double threshold = rate() * completion_time_eps(engine_.now());

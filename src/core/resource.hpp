@@ -13,7 +13,7 @@
 /// `FifoResource` is a strict mutual-exclusion resource with FIFO
 /// granting, used for serialized NIC access in VN mode.
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -67,8 +67,8 @@ class SharedServer {
   };
 
   void settle();            // advance all jobs to engine_.now()
-  void schedule_next();     // (re)schedule the earliest completion event
-  void on_completion(std::uint64_t epoch);
+  void schedule_next();     // (re)arm timer_ for the earliest completion
+  void on_completion();
 
   Engine& engine_;
   double capacity_;
@@ -76,8 +76,8 @@ class SharedServer {
   std::string name_;
   std::vector<Job> jobs_;
   std::vector<SimPromiseV> done_;  ///< scratch: on_completion's finishers
+  Engine::Timer timer_;            ///< the earliest job's completion
   SimTime last_settle_ = 0.0;
-  std::uint64_t epoch_ = 0;  // invalidates stale completion events
   double total_served_ = 0.0;
   double busy_time_ = 0.0;
   double contended_time_ = 0.0;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/hostprof.hpp"
+#include "core/key_heap.hpp"
 
 namespace xts::net {
 
@@ -26,20 +27,11 @@ double completion_time_eps(double now) {
 }
 }  // namespace
 
-// Min-heap ordering for std::push_heap/pop_heap: "a pops after b".
-// Ties break on flow index so same-instant completions fire in a
-// deterministic order regardless of heap history.
-bool FlowNetwork::pops_after(const CompletionEntry& a,
-                             const CompletionEntry& b) noexcept {
-  if (a.time != b.time) return a.time > b.time;
-  if (a.flow != b.flow) return a.flow > b.flow;
-  return a.gen > b.gen;
-}
-
 FlowNetwork::FlowNetwork(Engine& engine, Torus3D topo, NetConfig cfg)
     : engine_(engine),
       topo_(std::move(topo)),
-      cfg_(cfg) {
+      cfg_(cfg),
+      timer_(engine, [this] { run_pass(); }) {
   if (cfg_.link_bw <= 0.0 || cfg_.injection_bw <= 0.0)
     throw UsageError("FlowNetwork: link and injection bandwidth required");
   if (cfg_.ejection_bw <= 0.0) cfg_.ejection_bw = cfg_.injection_bw;
@@ -215,21 +207,15 @@ void FlowNetwork::mark_link_dirty(LinkId link) {
 void FlowNetwork::mark_dirty() {
   if (process_pending_) return;
   process_pending_ = true;
-  ++epoch_;  // retire any scheduled completion timer; the pass below
-             // re-derives the next one after absorbing this change
-  const std::uint64_t epoch = epoch_;
-  engine_.schedule_after(0.0, [this, epoch] {
-    if (epoch != epoch_) return;
+  timer_.cancel();  // the pass below re-derives the next completion
+                    // after absorbing this change
+  engine_.schedule_after(0.0, [this] {
     process_pending_ = false;
-    if (cfg_.incremental)
-      process();
-    else
-      process_full();
+    run_pass();
   });
 }
 
-void FlowNetwork::on_timer(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
+void FlowNetwork::run_pass() {
   if (cfg_.incremental)
     process();
   else
@@ -308,16 +294,6 @@ void FlowNetwork::fire_completions() {
 // Incremental path
 // ---------------------------------------------------------------------------
 
-void FlowNetwork::heap_push(CompletionEntry e) {
-  cheap_.push_back(e);
-  std::push_heap(cheap_.begin(), cheap_.end(), pops_after);
-}
-
-void FlowNetwork::heap_pop() {
-  std::pop_heap(cheap_.begin(), cheap_.end(), pops_after);
-  cheap_.pop_back();
-}
-
 void FlowNetwork::process() {
   const SimTime now = engine_.now();
   const double teps = completion_time_eps(now);
@@ -328,12 +304,10 @@ void FlowNetwork::process() {
   if (cheap_.size() >= 64 && cheap_.size() > 4 * active_count_) {
     std::size_t kept = 0;
     for (const CompletionEntry& e : cheap_) {
-      const Flow& f = flows_[e.flow];
-      if (f.in_use && e.gen == f.gen) cheap_[kept++] = e;
+      if (live(e)) cheap_[kept++] = e;
     }
     cheap_.resize(kept);
-    std::make_heap(cheap_.begin(), cheap_.end(),
-                   pops_after);
+    keyheap::make(cheap_);
   }
 
   // 1. Retire flows whose predicted completion has arrived.  A stale
@@ -343,22 +317,23 @@ void FlowNetwork::process() {
   //    splinter into one full rate pass per ulp-spaced instant.
   while (!cheap_.empty()) {
     const CompletionEntry top = cheap_.front();
-    Flow& f = flows_[top.flow];
-    if (!f.in_use || top.gen != f.gen) {
-      heap_pop();
+    if (!live(top)) {
+      keyheap::erase(cheap_, 0);
       continue;
     }
-    if (top.time > now + teps) break;
-    heap_pop();
+    if (top.time() > now + teps) break;
+    keyheap::erase(cheap_, 0);
+    Flow& f = flows_[top.flow()];
     settle_flow(f, now);
     if (f.remaining <= f.rate * teps) {
-      finish_flow(top.flow);
+      finish_flow(top.flow());
     } else {
       // Settle rounding left a residue; predict again.  remaining >
       // rate * teps with teps >= 4 ulp(now) makes the new prediction
       // strictly later than now, so this cannot livelock.
       ++f.gen;
-      heap_push({now + f.remaining / f.rate, top.flow, f.gen});
+      keyheap::push(cheap_, CompletionEntry::make(now + f.remaining / f.rate,
+                                                  top.flow(), f.gen));
     }
   }
 
@@ -385,18 +360,19 @@ void FlowNetwork::apply_rate(std::uint32_t idx, Flow& f, double rate,
   settle_flow(f, now);
   f.rate = rate;
   ++f.gen;
-  pending_.push_back({now + f.remaining / rate, idx, f.gen});
+  pending_.push_back(
+      CompletionEntry::make(now + f.remaining / rate, idx, f.gen));
 }
 
 void FlowNetwork::flush_pending() {
   if (pending_.empty()) return;
   // A wave that re-rates most flows amortizes better through one
-  // O(n) make_heap than through per-entry O(log n) sift-ups.
+  // O(n) heapify than through per-entry O(log n) sift-ups.
   if (pending_.size() > cheap_.size() / 4) {
     cheap_.insert(cheap_.end(), pending_.begin(), pending_.end());
-    std::make_heap(cheap_.begin(), cheap_.end(), pops_after);
+    keyheap::make(cheap_);
   } else {
-    for (const CompletionEntry& e : pending_) heap_push(e);
+    for (const CompletionEntry& e : pending_) keyheap::push(cheap_, e);
   }
   pending_.clear();
 }
@@ -505,19 +481,16 @@ void FlowNetwork::update_rates_max_min(SimTime now) {
 }
 
 void FlowNetwork::schedule_timer() {
-  ++epoch_;  // retire whatever timer was scheduled before this pass
   while (!cheap_.empty()) {
     const CompletionEntry& top = cheap_.front();
-    const Flow& f = flows_[top.flow];
-    if (!f.in_use || top.gen != f.gen) {
-      heap_pop();
+    if (!live(top)) {
+      keyheap::erase(cheap_, 0);
       continue;
     }
-    const std::uint64_t epoch = epoch_;
-    engine_.schedule_at(std::max(top.time, engine_.now()),
-                        [this, epoch] { on_timer(epoch); });
+    timer_.arm_at(std::max(top.time(), engine_.now()));
     return;
   }
+  timer_.cancel();
 }
 
 // ---------------------------------------------------------------------------
@@ -568,9 +541,7 @@ void FlowNetwork::process_full() {
     SimTime earliest = std::numeric_limits<double>::max();
     for (const Flow& f : flows_)
       if (f.in_use) earliest = std::min(earliest, f.remaining / f.rate);
-    ++epoch_;
-    const std::uint64_t epoch = epoch_;
-    engine_.schedule_after(earliest, [this, epoch] { on_timer(epoch); });
+    timer_.arm_at(now + earliest);
   }
 
   dirty_links_.clear();

@@ -33,6 +33,7 @@
 /// last pass.
 
 #include <array>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -188,10 +189,29 @@ class FlowNetwork {
     std::uint32_t slot;
   };
 
+  /// Predicted completion, keyed (time bits, flow << 32 | gen) for
+  /// core/key_heap.hpp: same-instant completions pop in flow-index
+  /// order whatever the heap's history.  Predictions are now() plus a
+  /// non-negative remainder over a positive rate, so the time is never
+  /// negative or NaN and its bits order like its value.
   struct CompletionEntry {
-    double time;
-    std::uint32_t flow;
-    std::uint32_t gen;
+    std::uint64_t hi;  ///< bit pattern of the predicted time
+    std::uint64_t lo;  ///< flow << 32 | gen
+
+    static CompletionEntry make(SimTime t, std::uint32_t flow,
+                                std::uint32_t gen) noexcept {
+      return {std::bit_cast<std::uint64_t>(t),
+              (std::uint64_t{flow} << 32) | gen};
+    }
+    [[nodiscard]] SimTime time() const noexcept {
+      return std::bit_cast<SimTime>(hi);
+    }
+    [[nodiscard]] std::uint32_t flow() const noexcept {
+      return static_cast<std::uint32_t>(lo >> 32);
+    }
+    [[nodiscard]] std::uint32_t gen() const noexcept {
+      return static_cast<std::uint32_t>(lo);
+    }
   };
 
   [[nodiscard]] double link_capacity(LinkId link) const noexcept;
@@ -208,20 +228,21 @@ class FlowNetwork {
   void settle_flow(Flow& f, SimTime now);
   void finish_flow(std::uint32_t idx);
   void fire_completions();
-
-  static bool pops_after(const CompletionEntry& a,
-                         const CompletionEntry& b) noexcept;
+  void run_pass();  ///< process() or process_full(), per cfg_.incremental
+  /// Whether a completion-heap entry still predicts its flow's
+  /// current rate (a rate change or finish bumps the generation).
+  [[nodiscard]] bool live(const CompletionEntry& e) const noexcept {
+    const Flow& f = flows_[e.flow()];
+    return f.in_use && e.gen() == f.gen;
+  }
 
   // incremental path
   void process();
-  void on_timer(std::uint64_t epoch);
   void update_rates_min_share(SimTime now);
   void update_rates_max_min(SimTime now);
   void apply_rate(std::uint32_t idx, Flow& f, double rate, SimTime now);
   void flush_pending();
   void schedule_timer();
-  void heap_push(CompletionEntry e);
-  void heap_pop();
 
   // full-pass fallback path
   void process_full();
@@ -244,7 +265,7 @@ class FlowNetwork {
   std::vector<std::uint32_t> flow_stamp_;
   std::uint32_t stamp_ = 1;
 
-  std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
+  std::vector<CompletionEntry> cheap_;  ///< lazy completion key heap
   std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
   std::vector<std::coroutine_handle<>> done_;  ///< scratch: to resume
   std::vector<std::uint32_t> comp_flows_;  ///< scratch: flows a pass re-rates
@@ -270,7 +291,7 @@ class FlowNetwork {
   RunProgress* progress_ = nullptr;
   std::size_t active_count_ = 0;
   std::size_t peak_flows_ = 0;
-  std::uint64_t epoch_ = 0;        ///< invalidates scheduled timers
+  Engine::Timer timer_;            ///< the earliest predicted completion
   bool process_pending_ = false;   ///< zero-delay pass already queued
   SimTime last_settle_ = 0.0;      ///< full-pass path only
   double settled_delivered_ = 0.0;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "core/task.hpp"
 
 namespace xts {
@@ -137,6 +139,57 @@ TEST(SharedServer, NoLivelockAtLargeSimulatedTimes) {
   e.run();
   EXPECT_EQ(finished, 2);
   EXPECT_LT(e.events_processed(), 1000u);
+}
+
+// A job arrival or completion re-arms the server's one completion
+// timer, so the queue never holds a superseded completion: at most one
+// server event besides one event per process without an active job.
+TEST(SharedServer, QueueHoldsNoStaleCompletionEvents) {
+  Engine e;
+  SharedServer server(e, 10.0);
+  constexpr int kProcs = 16;
+  Rng rng(3);
+  for (int p = 0; p < kProcs; ++p) {
+    spawn(e, [](Engine& eng, SharedServer& s, Rng& r) -> Task<void> {
+      for (int round = 0; round < 8; ++round) {
+        co_await Delay(eng, 0.05 * static_cast<double>(r.below(8)));
+        (void)co_await s.consume(1.0 + static_cast<double>(r.below(20)));
+      }
+    }(e, server, rng));
+  }
+  std::size_t peak = 0;
+  while (e.step()) {
+    const std::size_t live = kProcs - server.active_jobs() + 1;
+    ASSERT_LE(e.events_pending(), live) << "at t=" << e.now();
+    peak = std::max(peak, e.events_pending());
+  }
+  EXPECT_GT(peak, 1u);
+  EXPECT_EQ(server.active_jobs(), 0u);
+}
+
+// Exact event count of a fixed scenario.  A (10 units) starts alone at
+// 10/s, predicting t=1; B (10 units) arrives at t=0.5, both drop to 5/s
+// and A's prediction moves to t=1.5; B finishes alone at t=2.  Seven
+// events: two spawns, B's delay, the completion timer at 1.5 and at 2,
+// and the two resumptions.  A queued stale completion at t=1 would make
+// eight.
+TEST(SharedServer, SupersededCompletionLeavesNoEvent) {
+  Engine e;
+  SharedServer server(e, 10.0);
+  SimTime a = -1.0, b = -1.0;
+  spawn(e, [](Engine& eng, SharedServer& s, SimTime& out) -> Task<void> {
+    (void)co_await s.consume(10.0);
+    out = eng.now();
+  }(e, server, a));
+  spawn(e, [](Engine& eng, SharedServer& s, SimTime& out) -> Task<void> {
+    co_await Delay(eng, 0.5);
+    (void)co_await s.consume(10.0);
+    out = eng.now();
+  }(e, server, b));
+  e.run();
+  EXPECT_DOUBLE_EQ(a, 1.5);
+  EXPECT_DOUBLE_EQ(b, 2.0);
+  EXPECT_EQ(e.events_processed(), 7u);
 }
 
 TEST(FifoResource, GrantsInFifoOrder) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -358,6 +359,71 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(Fairness::kMinShare,
                                          Fairness::kMaxMin)));
+
+// Every rate pass re-predicts the next completion by re-arming one
+// engine timer, so superseded predictions never linger in the queue: at
+// any moment it holds at most one network event (the timer or the
+// pending same-instant pass) besides one event per process that is not
+// inside a flow (its Delay or its resumption).
+TEST_P(FlowChurnModes, QueueHoldsNoStaleCompletionEvents) {
+  const auto [incremental, fairness] = GetParam();
+  Engine e;
+  NetConfig c = cfg(3.0, 2.0);
+  c.incremental = incremental;
+  c.fairness = fairness;
+  FlowNetwork net(e, Torus3D({4, 4, 4}), c);
+  constexpr int kProcs = 24;
+  Rng rng(5);
+  for (int p = 0; p < kProcs; ++p) {
+    spawn(e, [](Engine& eng, FlowNetwork& n, Rng& r) -> Task<void> {
+      for (int round = 0; round < 6; ++round) {
+        co_await Delay(eng, 0.1 * static_cast<double>(r.below(10)));
+        const auto s = static_cast<NodeId>(r.below(64));
+        const auto d = static_cast<NodeId>((s + 1 + r.below(63)) % 64);
+        co_await n.transfer_flow(s, d, 1.0 + static_cast<double>(r.below(9)));
+      }
+    }(e, net, rng));
+  }
+  std::size_t peak = 0;
+  while (e.step()) {
+    const std::size_t live = kProcs - net.active_flows() + 1;
+    ASSERT_LE(e.events_pending(), live) << "at t=" << e.now();
+    peak = std::max(peak, e.events_pending());
+  }
+  EXPECT_GT(peak, 1u);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+// Exact event count of a fixed scenario, so that a stale-event pattern
+// cannot come back unnoticed.  A (8 B, 0->1) runs alone at 2 B/s; at
+// t=1 B (8 B, 0->2) joins on node 0's injection link, both drop to
+// 1 B/s, and A's prediction for t=4 is superseded by one for t=7; B
+// then finishes alone at t=8.  Nine events: two spawns, B's delay, two
+// same-instant passes (A's and B's arrivals), the completion timer at
+// 7 and at 8, and the two resumptions.  A queued stale timer at t=4
+// would make ten.
+TEST(FlowNetwork, SupersededCompletionLeavesNoEvent) {
+  for (const bool incremental : {true, false}) {
+    Engine e;
+    NetConfig c = cfg(4.0, 2.0);
+    c.incremental = incremental;
+    FlowNetwork net(e, Torus3D({4, 1, 1}), c);
+    SimTime a = -1.0, b = -1.0;
+    spawn(e, [](Engine& eng, FlowNetwork& n, SimTime& out) -> Task<void> {
+      co_await n.transfer_flow(0, 1, 8.0);
+      out = eng.now();
+    }(e, net, a));
+    spawn(e, [](Engine& eng, FlowNetwork& n, SimTime& out) -> Task<void> {
+      co_await Delay(eng, 1.0);
+      co_await n.transfer_flow(0, 2, 8.0);
+      out = eng.now();
+    }(e, net, b));
+    e.run();
+    EXPECT_DOUBLE_EQ(a, 7.0) << "incremental=" << incremental;
+    EXPECT_DOUBLE_EQ(b, 8.0) << "incremental=" << incremental;
+    EXPECT_EQ(e.events_processed(), 9u) << "incremental=" << incremental;
+  }
+}
 
 // The incremental path must produce the same completion times as the
 // full-pass fallback — they are two implementations of one model.

@@ -17,8 +17,8 @@ std::string_view cat_name(Cat c) noexcept {
   return "?";
 }
 
-TraceSink::TraceSink(std::size_t capacity) {
-  ring_.resize(std::max<std::size_t>(capacity, 1));
+TraceSink::TraceSink(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {
   names_.emplace_back();  // name id 0 = the empty name
   name_ids_.emplace(std::string{}, 0U);
 }
@@ -37,27 +37,29 @@ const std::string& TraceSink::name(std::uint32_t id) const {
 }
 
 void TraceSink::emit(const TraceEvent& e) {
-  const std::size_t cap = ring_.size();
-  if (count_ == cap) {
+  if (ring_.size() == capacity_) {
     ring_[head_] = e;
-    head_ = (head_ + 1) % cap;
+    if (++head_ == capacity_) head_ = 0;
     ++dropped_;
     return;
   }
-  ring_[(head_ + count_) % cap] = e;
-  ++count_;
+  if (ring_.size() == ring_.capacity()) {
+    const std::size_t grown = std::max<std::size_t>(64, 2 * ring_.size());
+    ring_.reserve(std::min(capacity_, grown));
+  }
+  ring_.push_back(e);
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {
   std::vector<TraceEvent> out;
-  out.reserve(count_);
+  out.reserve(ring_.size());
   for_each([&](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 
 void TraceSink::clear() {
+  std::vector<TraceEvent>().swap(ring_);
   head_ = 0;
-  count_ = 0;
   dropped_ = 0;
 }
 

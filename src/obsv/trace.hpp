@@ -5,9 +5,11 @@
 ///
 /// Instrumented code emits *spans* — closed [t0, t1] intervals of
 /// simulated time on a lane (a rank, or a per-world service lane) —
-/// into a bounded ring of compact 48-byte records.  The ring keeps
-/// full traces bounded at 10k+ ranks: when it wraps, the oldest spans
-/// are overwritten and counted in dropped().  Span names are interned
+/// into a bounded ring of 56-byte records.  The ring grows on demand
+/// (geometrically, never past its capacity), so a sink that records
+/// nothing allocates nothing; once full it keeps traces bounded at 10k+
+/// ranks: when it wraps, the oldest spans are overwritten and counted
+/// in dropped().  Span names are interned
 /// once; records carry a 32-bit name id plus a correlation id (the
 /// message id, for reassembling a message's tx/hops/flow/rx breakdown)
 /// and two free-form numeric args (bytes, flops, ...).
@@ -69,10 +71,10 @@ class TraceSink {
   void emit(const TraceEvent& e);
 
   /// Spans currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  /// Configured bound on retained spans (the ring may not yet have
+  /// grown to it).
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Spans overwritten because the ring wrapped.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Account for spans dropped elsewhere (a shard sink that wrapped
@@ -85,19 +87,21 @@ class TraceSink {
   /// Visit retained spans oldest-first without materializing a copy.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < count_; ++i)
-      fn(ring_[(head_ + i) % ring_.size()]);
+    for (std::size_t i = head_; i < ring_.size(); ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < head_; ++i) fn(ring_[i]);
   }
 
-  /// Drop all spans (interned names are kept).
+  /// Drop all spans and release the ring (interned names are kept).
   void clear();
 
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
  private:
+  std::size_t capacity_;
+  /// Retained spans; grows by push_back until it holds capacity_, then
+  /// wraps in place.
   std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;   ///< oldest retained span
-  std::size_t count_ = 0;  ///< retained spans
+  std::size_t head_ = 0;  ///< oldest retained span (0 until the ring wraps)
   std::uint64_t dropped_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t> name_ids_;

@@ -233,6 +233,149 @@ TEST(Profile, BucketsTileWallTime) {
             0.0);
 }
 
+/// Exact folding of hand-made spans on a 2-rank world, including the
+/// edge cases real runs rarely produce: spans on the world lane and on
+/// a lane past nranks (they widen the wall window but own no buckets),
+/// zero-length spans, an rx with no sender span (no matrix cell), and
+/// a recv.wait whose message never completed (the critical path stays
+/// on the blocked rank's timeline).
+TEST(Profile, SyntheticSpansFoldExactly) {
+  TraceSink sink(16);
+  WorldProfile prof(sink, 0);
+  const auto tx_wait = sink.intern("msg.tx.wait");
+  const auto tx = sink.intern("msg.tx");
+  const auto hops = sink.intern("msg.hops");
+  const auto flow = sink.intern("msg.flow");
+  const auto rx_wait = sink.intern("msg.rx.wait");
+  const auto rx = sink.intern("msg.rx");
+  const auto recv_wait = sink.intern("recv.wait");
+  const auto solve = sink.intern("test.solve");
+  const auto empty = sink.intern("test.empty");
+  const auto none = sink.intern("test.none");
+
+  // Outside the ranks: widen the window to [0, 11] only.
+  prof.on_span(kWorldLane, Cat::kCompute, none, 0.0, 1.0, 0, 0.0);
+  prof.on_span(5, Cat::kCollective, none, 10.0, 11.0, 0, 0.0);
+  // Message 1, rank 0 -> rank 1, 100 B, posted at 2, delivered at 5.
+  prof.on_span(0, Cat::kCompute, none, 1.0, 2.0, 0, 0.0);
+  prof.on_span(0, Cat::kMessage, tx_wait, 2.0, 2.0, 1, 100.0);
+  prof.on_span(0, Cat::kMessage, tx, 2.0, 3.0, 1, 100.0);
+  prof.on_span(0, Cat::kMessage, hops, 3.0, 3.5, 1, 100.0);
+  prof.on_span(0, Cat::kMessage, flow, 3.5, 4.0, 1, 100.0);
+  prof.on_span(1, Cat::kMessage, rx_wait, 4.0, 4.5, 1, 100.0);
+  prof.on_span(1, Cat::kMessage, rx, 4.5, 5.0, 1, 100.0);
+  prof.on_span(1, Cat::kMessage, recv_wait, 1.0, 5.0, 1, 100.0);
+  // Zero-length spans: no bucket time, and a phase that never opens.
+  prof.on_span(1, Cat::kCompute, none, 5.0, 5.0, 0, 0.0);
+  prof.on_span(0, Cat::kPhase, empty, 3.0, 3.0, 0, 0.0);
+  // Message 2: an rx with no sender span.
+  prof.on_span(0, Cat::kMessage, rx, 5.0, 6.0, 2, 50.0);
+  // Message 3, rank 0 -> rank 1: posted, never delivered, yet rank 1's
+  // recv.wait names it.
+  prof.on_span(0, Cat::kMessage, tx_wait, 6.0, 6.0, 3, 8.0);
+  prof.on_span(0, Cat::kMessage, tx, 6.0, 7.0, 3, 8.0);
+  prof.on_span(1, Cat::kCompute, none, 5.0, 9.0, 0, 0.0);
+  prof.on_span(1, Cat::kPhase, solve, 5.0, 9.5, 0, 0.0);
+  prof.on_span(1, Cat::kMessage, recv_wait, 9.0, 9.5, 3, 8.0);
+
+  const WorldProfileResult p = prof.finalize(2, nullptr);
+  auto buckets = [](std::initializer_list<std::pair<Bucket, double>> l) {
+    BucketArray a{};
+    for (const auto& [b, v] : l) a[static_cast<std::size_t>(b)] = v;
+    return a;
+  };
+  EXPECT_EQ(p.t_start, 0.0);
+  EXPECT_EQ(p.t_end, 11.0);
+  ASSERT_EQ(p.ranks.size(), 2u);
+  EXPECT_EQ(p.ranks[0].buckets,
+            buckets({{Bucket::kCompute, 1.0},
+                     {Bucket::kTx, 2.0},
+                     {Bucket::kFlow, 1.0},
+                     {Bucket::kRx, 1.0},
+                     {Bucket::kIdle, 6.0}}));
+  EXPECT_EQ(p.ranks[1].buckets,
+            buckets({{Bucket::kCompute, 4.0},
+                     {Bucket::kRx, 0.5},
+                     {Bucket::kRxWait, 0.5},
+                     {Bucket::kBlocked, 3.5},
+                     {Bucket::kIdle, 2.5}}));
+
+  ASSERT_EQ(p.phases.size(), 2u);
+  EXPECT_EQ(p.phases[0].name, "");
+  EXPECT_EQ(p.phases[0].total,
+            buckets({{Bucket::kCompute, 1.0},
+                     {Bucket::kTx, 2.0},
+                     {Bucket::kFlow, 1.0},
+                     {Bucket::kRx, 1.5},
+                     {Bucket::kRxWait, 0.5},
+                     {Bucket::kBlocked, 3.0},
+                     {Bucket::kIdle, 8.5}}));
+  EXPECT_EQ(p.phases[1].name, "test.solve");
+  EXPECT_EQ(p.phases[1].total,
+            buckets({{Bucket::kCompute, 4.0}, {Bucket::kBlocked, 0.5}}));
+  EXPECT_EQ(p.phases[1].time.max, 4.5);
+  EXPECT_EQ(p.phases[1].time.argmax, 1);
+  EXPECT_EQ(p.phases[1].stragglers, (std::vector<int>{1, 0}));
+
+  ASSERT_EQ(p.matrix.size(), 1u);
+  EXPECT_EQ(p.matrix[0].src, 0);
+  EXPECT_EQ(p.matrix[0].dst, 1);
+  EXPECT_EQ(p.matrix[0].messages, 1u);
+  EXPECT_EQ(p.matrix[0].bytes, 100.0);
+  EXPECT_EQ(p.matrix[0].latency_sum, 3.0);
+  EXPECT_EQ(p.messages, 1u);
+  EXPECT_EQ(p.bytes, 100.0);
+  EXPECT_EQ(p.dropped_records, 0u);
+
+  const CritPath& cp = p.critical_path;
+  EXPECT_EQ(cp.t_start, 0.0);
+  EXPECT_EQ(cp.t_end, 9.5);
+  EXPECT_EQ(cp.length, 9.5);
+  EXPECT_EQ(cp.messages, 1u);
+  EXPECT_FALSE(cp.truncated);
+  EXPECT_TRUE(cp.links.empty());
+  EXPECT_EQ(cp.ranks, (std::vector<int>{0, 1}));
+  ASSERT_EQ(cp.steps.size(), 4u);
+  const CritStep& s0 = cp.steps[0];
+  EXPECT_EQ(s0.kind, CritStep::Kind::kLocal);
+  EXPECT_EQ(s0.rank, 0);
+  EXPECT_EQ(s0.t0, 0.0);
+  EXPECT_EQ(s0.t1, 2.0);
+  EXPECT_EQ(s0.buckets,
+            buckets({{Bucket::kCompute, 1.0}, {Bucket::kIdle, 1.0}}));
+  const CritStep& s1 = cp.steps[1];
+  EXPECT_EQ(s1.kind, CritStep::Kind::kMessage);
+  EXPECT_EQ(s1.rank, 0);
+  EXPECT_EQ(s1.other, 1);
+  EXPECT_EQ(s1.t0, 2.0);
+  EXPECT_EQ(s1.t1, 5.0);
+  EXPECT_EQ(s1.bytes, 100.0);
+  EXPECT_EQ(s1.buckets, buckets({{Bucket::kTx, 1.0},
+                                 {Bucket::kFlow, 1.0},
+                                 {Bucket::kRxWait, 0.5},
+                                 {Bucket::kRx, 0.5}}));
+  const CritStep& s2 = cp.steps[2];
+  EXPECT_EQ(s2.kind, CritStep::Kind::kLocal);
+  EXPECT_EQ(s2.rank, 1);
+  EXPECT_EQ(s2.t0, 5.0);
+  EXPECT_EQ(s2.t1, 9.0);
+  EXPECT_EQ(s2.buckets, buckets({{Bucket::kCompute, 4.0}}));
+  // Message 3 never completed: its recv.wait stays local.
+  const CritStep& s3 = cp.steps[3];
+  EXPECT_EQ(s3.kind, CritStep::Kind::kLocal);
+  EXPECT_EQ(s3.rank, 1);
+  EXPECT_EQ(s3.t0, 9.0);
+  EXPECT_EQ(s3.t1, 9.5);
+  EXPECT_EQ(s3.buckets, buckets({{Bucket::kBlocked, 0.5}}));
+  EXPECT_EQ(cp.buckets, buckets({{Bucket::kCompute, 5.0},
+                                 {Bucket::kTx, 1.0},
+                                 {Bucket::kFlow, 1.0},
+                                 {Bucket::kRx, 0.5},
+                                 {Bucket::kRxWait, 0.5},
+                                 {Bucket::kBlocked, 0.5},
+                                 {Bucket::kIdle, 1.0}}));
+}
+
 TEST(Attrib, VerdictsFromSyntheticBuckets) {
   auto mk = [](Bucket b, double v) {
     BucketArray a{};

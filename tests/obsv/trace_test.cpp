@@ -59,6 +59,80 @@ TEST(TraceSink, ClearKeepsInternedNames) {
   EXPECT_EQ(sink.name(id), "keep");
 }
 
+std::vector<double> starts_of(const TraceSink& sink) {
+  std::vector<double> starts;
+  sink.for_each([&](const TraceEvent& e) { starts.push_back(e.t0); });
+  return starts;
+}
+
+/// Emit spans starting at first, first+1, ..., first+n-1.
+void emit_run(TraceSink& sink, int first, int n) {
+  for (int i = first; i < first + n; ++i)
+    sink.emit(ev(static_cast<double>(i), i + 1.0, 0));
+}
+
+/// The ring grows on demand: its configured capacity is visible before
+/// any span arrives, and iteration order is oldest-first whether it is
+/// partially filled, exactly full, or wrapped.
+TEST(TraceSink, GrowsOnDemandUpToCapacity) {
+  TraceSink sink(100);
+  EXPECT_EQ(sink.capacity(), 100u);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_TRUE(starts_of(sink).empty());
+
+  emit_run(sink, 0, 70);  // partially filled, past the first growth steps
+  EXPECT_EQ(sink.size(), 70u);
+  EXPECT_EQ(sink.capacity(), 100u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  std::vector<double> want;
+  for (int i = 0; i < 70; ++i) want.push_back(i);
+  EXPECT_EQ(starts_of(sink), want);
+
+  emit_run(sink, 70, 30);  // exactly full
+  EXPECT_EQ(sink.size(), 100u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  want.clear();
+  for (int i = 0; i < 100; ++i) want.push_back(i);
+  EXPECT_EQ(starts_of(sink), want);
+
+  emit_run(sink, 100, 37);  // wrapped: [37, 137) retained
+  EXPECT_EQ(sink.size(), 100u);
+  EXPECT_EQ(sink.capacity(), 100u);
+  EXPECT_EQ(sink.dropped(), 37u);
+  want.clear();
+  for (int i = 37; i < 137; ++i) want.push_back(i);
+  EXPECT_EQ(starts_of(sink), want);
+  std::vector<double> snap;
+  for (const TraceEvent& e : sink.snapshot()) snap.push_back(e.t0);
+  EXPECT_EQ(snap, want);
+}
+
+/// clear() empties the grown ring, mid-fill or after a wrap, and the
+/// sink refills from the oldest slot again.
+TEST(TraceSink, ClearResetsGrownRing) {
+  TraceSink sink(8);
+  emit_run(sink, 0, 5);  // mid-fill
+  sink.clear();
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_TRUE(starts_of(sink).empty());
+  emit_run(sink, 10, 3);
+  EXPECT_EQ(starts_of(sink), (std::vector<double>{10, 11, 12}));
+  EXPECT_EQ(sink.dropped(), 0u);
+
+  emit_run(sink, 20, 11);  // wraps: 14 emitted into 8 slots
+  EXPECT_EQ(sink.dropped(), 6u);
+  sink.clear();
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(sink.capacity(), 8u);
+  EXPECT_TRUE(starts_of(sink).empty());
+  emit_run(sink, 40, 10);  // refill past capacity after the wrap
+  EXPECT_EQ(sink.size(), 8u);
+  EXPECT_EQ(sink.dropped(), 2u);
+  EXPECT_EQ(starts_of(sink),
+            (std::vector<double>{42, 43, 44, 45, 46, 47, 48, 49}));
+}
+
 TEST(Session, LifecycleAndRegistration) {
   EXPECT_EQ(Session::active(), nullptr);
   Options opt;
